@@ -56,6 +56,7 @@ type directLane struct {
 	n       int
 	local   bool // write-free requests take the local read path
 	wl      *workload.Workload
+	peakWL  *workload.Workload // if set, draws closed-loop phases' requests
 	check   readCheck
 	clients []*dclient
 	free    slotQueue
@@ -112,7 +113,11 @@ func (l *directLane) issue(w *worker, k uint64, due time.Time) bool {
 	w.t.late.add(t0.Sub(due), t0.Sub(w.ph.start))
 	// The transaction's content depends only on the worker's stream and
 	// k, never on which identity happens to be free.
-	txn := l.wl.NextTransaction(0, k)
+	wl := l.wl
+	if !w.ph.open && l.peakWL != nil {
+		wl = l.peakWL
+	}
+	txn := wl.NextTransaction(0, k)
 	w.t.drawNS += int64(time.Since(t0))
 	w.span(id, lDraw, t0, 1)
 	txn.Client, txn.ClientSeq = c.id, c.seq

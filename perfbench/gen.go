@@ -50,6 +50,9 @@ type phase struct {
 	traced  bool
 	salt    uint64 // distinguishes request ids across phases
 	limit   int    // if > 0, worker 0 issues this many requests and the rest none
+	// window, if > 0, caps a closed phase's outstanding requests per
+	// worker.
+	window int
 	// buckets, when set, counts transactions answered OK per bucketDur
 	// since start.
 	buckets []atomic.Int64
@@ -218,7 +221,7 @@ func (w *worker) run(ph *phase) {
 			backlog = backlog[1:]
 		}
 		if !ph.open && issuing {
-			for (ph.limit == 0 || issued < ph.limit) && w.lane.issue(w, k, now) {
+			for (ph.limit == 0 || issued < ph.limit) && (ph.window == 0 || w.lane.outstanding() < ph.window) && w.lane.issue(w, k, now) {
 				k += step
 				issued++
 			}
@@ -283,12 +286,12 @@ func trackCPU(ph *phase) *cpuTrack {
 	return c
 }
 
-// perTxnUS returns the median over sub-windows of per bucket buckets
-// each of the process CPU microseconds per transaction answered.
-func (c *cpuTrack) perTxnUS(ph *phase, per int) float64 {
+// perTxnUS returns, for each sub-window of per buckets after the first
+// skip buckets, the process CPU microseconds per transaction answered.
+func (c *cpuTrack) perTxnUS(ph *phase, skip, per int) []float64 {
 	<-c.done
 	var vals []float64
-	for i := 0; i+per <= len(ph.buckets); i += per {
+	for i := skip; i+per <= len(ph.buckets); i += per {
 		var txns int64
 		for j := i; j < i+per; j++ {
 			txns += ph.buckets[j].Load()
@@ -297,10 +300,7 @@ func (c *cpuTrack) perTxnUS(ph *phase, per int) float64 {
 			vals = append(vals, float64(c.at[i+per]-c.at[i])/1e3/float64(txns))
 		}
 	}
-	if len(vals) == 0 {
-		return 0
-	}
-	return median(vals)
+	return vals
 }
 
 // runPhase runs every worker through ph and merges their tallies.

@@ -26,6 +26,17 @@ func (s *samples) merge(o *samples) {
 	s.at = append(s.at, o.at...)
 }
 
+// mergeFrom appends o's samples taken at or after from, moving their
+// times by shift - from.
+func (s *samples) mergeFrom(o *samples, from, shift time.Duration) {
+	for i, at := range o.at {
+		if at >= int64(from) {
+			s.ns = append(s.ns, o.ns[i])
+			s.at = append(s.at, at-int64(from)+int64(shift))
+		}
+	}
+}
+
 func (s *samples) count() int { return len(s.ns) }
 
 // quantile returns the q-quantile (0..1) by the nearest-rank rule, in

@@ -35,19 +35,25 @@ import (
 // peak phase the rest; a traced run splits --seconds between an untraced
 // and a traced nominal phase.
 const (
-	// minSeconds is the shortest run whose phases still hold several
-	// sub-windows each.
-	minSeconds   = 10
+	// minSeconds is the shortest run whose phase rounds still hold a
+	// sub-window each after settling.
+	minSeconds   = 12
 	setupReps    = 3
-	warmup       = 3 * time.Second
+	warmup       = 2 * time.Second
 	nominalShare = 0.5
 	drainTimeout = 10 * time.Second
-	// cpuWindowBuckets is the width, in throughput buckets, of the
+	// rounds is how many nominal/peak pairs an end-to-end run alternates
+	// through. On a shared machine the processor's speed drifts over
+	// seconds; spreading each phase over the whole run averages more of
+	// that drift into every metric than one contiguous phase would.
+	rounds = 4
+	// settleBuckets is how many throughput buckets at the start of a
+	// round no metric counts: a peak round's while the queues fill, and a
+	// later nominal round's while the replicas finish the peak's work.
+	settleBuckets = 1
+	// windowBuckets is the width, in throughput buckets, of the
 	// sub-windows cpu_us_per_txn takes its median over.
-	cpuWindowBuckets = 4
-	// peakWindowBuckets is the width of the sub-windows peak_tps takes
-	// its median over.
-	peakWindowBuckets = 4
+	windowBuckets = 2
 )
 
 type metric struct {
@@ -99,7 +105,8 @@ func run(w io.Writer, sp spec, seed int64, seconds time.Duration, traced bool, o
 	fmt.Fprintf(w, "workload=%s seed=%d seconds=%.0f trace=%v\n", sp.name, seed, seconds.Seconds(), traced)
 	fmt.Fprintf(w, "nproc=%d GOMAXPROCS=%d go=%s commit=%s source=%s\n",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), commit, sourceDigest())
-	fmt.Fprintf(w, "offered: nominal %.0f txn/s open loop; peak %d outstanding closed loop\n", sp.rate, sp.slots)
+	fmt.Fprintf(w, "offered: nominal %.0f txn/s open loop over %d identities or sessions; peak %d outstanding closed loop\n",
+		sp.rate, sp.slots, sp.peakOutstanding())
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return result{}, err
 	}
@@ -184,44 +191,90 @@ func openPhase(rate float64, d time.Duration, salt uint64) *phase {
 		salt: salt, buckets: make([]atomic.Int64, int(d/bucketDur))}
 }
 
-// endToEndRun measures the end-to-end metrics: an open-loop nominal
-// phase for latency, CPU and live heap, then a closed-loop peak phase
-// for capacity.
+// endToEndRun measures the end-to-end metrics. It alternates rounds of
+// an open-loop nominal phase, for latency, CPU and live heap, with rounds
+// of a closed-loop peak phase, for capacity.
 func endToEndRun(w io.Writer, r *rig, seconds time.Duration, setupS float64) result {
 	sp := r.sp
-	var m0, ms runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	nomDur := time.Duration(float64(seconds) * nominalShare)
-	nph := openPhase(sp.rate, nomDur, 3)
-	track := trackCPU(nph)
-	nom := runPhase(r.workers, nph)
-	cpu := track.perTxnUS(nph, cpuWindowBuckets)
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "nominal phase: %d GC cycles, %.0f MiB allocated from a %.0f MiB heap\n",
-		ms.NumGC-m0.NumGC, float64(ms.TotalAlloc-m0.TotalAlloc)/(1<<20), float64(m0.HeapAlloc)/(1<<20))
-	// Two collections: the first leaves sync.Pool contents in the pools'
-	// victim caches, the second frees them.
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-
-	// Capacity is the median throughput over the peak phase's
-	// sub-windows, skipping the first bucket while the queues fill.
-	peakDur := seconds - nomDur
-	pph := openPhase(0, peakDur, 5)
-	pph.open = false
-	peak := runPhase(r.workers, pph)
-	var tps []float64
-	for i := 1; i+peakWindowBuckets <= len(pph.buckets); i += peakWindowBuckets {
-		var n int64
-		for j := i; j < i+peakWindowBuckets; j++ {
-			n += pph.buckets[j].Load()
+	nomRound, peakRound := nomDur/rounds, (seconds-nomDur)/rounds
+	settle := settleBuckets * bucketDur
+	var nom, peak tally
+	// lat holds the nominal rounds' latencies after settling, timed from
+	// the start of the rounds laid end to end.
+	var lat [classCount]samples
+	var kept time.Duration
+	var cpu, tps []float64
+	// peakTxns counts the transactions answered in the peak rounds'
+	// buckets after settling, over peakKept.
+	var peakTxns int64
+	var peakKept time.Duration
+	var m0, ms, g0, g1 runtime.MemStats
+	var peakGC uint32
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		skip := 0
+		if i > 0 {
+			skip = settleBuckets
 		}
-		tps = append(tps, float64(n)/(peakWindowBuckets*bucketDur).Seconds())
+		nph := openPhase(sp.rate, nomRound, uint64(3+2*i))
+		track := trackCPU(nph)
+		t := runPhase(r.workers, nph)
+		cw := track.perTxnUS(nph, skip, windowBuckets)
+		cpu = append(cpu, cw...)
+		fmt.Fprintf(w, "nominal round %d: CPU us per txn per %v: %.0f\n", i+1, windowBuckets*bucketDur, cw)
+		from := time.Duration(skip) * bucketDur
+		for c := range lat {
+			lat[c].mergeFrom(&t.lat[c], from, kept)
+		}
+		kept += nomRound - from
+		nom.merge(&t)
+		// A forced collection before each peak round starts every round
+		// from the same heap state, so how many collections fall into a
+		// round does not depend on where the last one happened to end.
+		runtime.GC()
+		if i == 0 {
+			// The live heap is read after the first nominal round, before
+			// any peak round has filled the gateway's reply caches. A
+			// second collection frees what the first left in the
+			// sync.Pool victim caches.
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+		}
+		pph := openPhase(0, peakRound, uint64(4+2*i))
+		pph.open = false
+		pph.window = sp.peakOutstanding() / len(r.workers)
+		runtime.ReadMemStats(&g0)
+		t = runPhase(r.workers, pph)
+		runtime.ReadMemStats(&g1)
+		peakGC += g1.NumGC - g0.NumGC
+		peak.merge(&t)
+		var bs []int64
+		for j := range pph.buckets {
+			bs = append(bs, pph.buckets[j].Load())
+		}
+		for j := settleBuckets; j+windowBuckets <= len(bs); j += windowBuckets {
+			var n int64
+			for _, b := range bs[j : j+windowBuckets] {
+				n += b
+			}
+			tps = append(tps, float64(n)/(windowBuckets*bucketDur).Seconds())
+			peakTxns += n
+			peakKept += windowBuckets * bucketDur
+		}
+		fmt.Fprintf(w, "peak round %d: txns per %v: %v\n", i+1, bucketDur, bs)
 	}
-	peakTPS := median(tps)
-	fmt.Fprintf(w, "peak phase: %d outstanding, %.0f txn/s median over %d windows of %v (min %.0f, max %.0f)\n",
-		sp.slots, peakTPS, len(tps), peakWindowBuckets*bucketDur, slices.Min(tps), slices.Max(tps))
+	cpuUS := median(cpu)
+	// Capacity is the mean over every kept window, not a median: the
+	// gateway answers in batches of up to gwBatch transactions, which
+	// would round a median of one-second windows to whole batches.
+	peakTPS := float64(peakTxns) / peakKept.Seconds()
+	fmt.Fprintf(w, "run: %d GC cycles, %d of them in peak rounds; %.0f MiB allocated from a %.0f MiB heap\n",
+		g1.NumGC-m0.NumGC, peakGC, float64(g1.TotalAlloc-m0.TotalAlloc)/(1<<20), float64(m0.HeapAlloc)/(1<<20))
+	fmt.Fprintf(w, "nominal: %.0f txn/s offered in %d rounds of %v, the first %v of later rounds left out; CPU per txn median over %d windows of %v (min %.1f, max %.1f us)\n",
+		sp.rate, rounds, nomRound, settle, len(cpu), windowBuckets*bucketDur, slices.Min(cpu), slices.Max(cpu))
+	fmt.Fprintf(w, "peak: %d outstanding in %d rounds of %v, the first %v of each left out; %.1f txn/s over %d windows of %v (min %.0f, max %.0f); %d GC cycles\n",
+		sp.peakOutstanding(), rounds, peakRound, settle, peakTPS, len(tps), windowBuckets*bucketDur, slices.Min(tps), slices.Max(tps), peakGC)
 
 	// Only the median is a gated metric. On a small machine shared with
 	// other tenants, the tails of these millisecond latencies move with
@@ -231,11 +284,11 @@ func endToEndRun(w io.Writer, r *rig, seconds time.Duration, setupS float64) res
 	fmt.Fprintln(w, "nominal-phase latency, due time to accepted reply; tails are medians over sub-windows:")
 	var p50 [classCount]float64
 	for c := class(0); c < classCount; c++ {
-		s := &nom.lat[c]
+		s := &lat[c]
 		p50[c] = s.quantileMS(0.5)
-		p90, _ := s.windowedMS(0.90, nomDur)
-		p95, wins95 := s.windowedMS(0.95, nomDur)
-		p99, wins99 := s.windowedMS(0.99, nomDur)
+		p90, _ := s.windowedMS(0.90, kept)
+		p95, wins95 := s.windowedMS(0.95, kept)
+		p99, wins99 := s.windowedMS(0.99, kept)
 		fmt.Fprintf(w, "  %-5s p50 %8.3f ms  p90 %8.3f ms  p95 %8.3f ms  p99 %8.3f ms  samples %d\n",
 			classNames[c], p50[c], p90, p95, p99, s.count())
 		fmt.Fprintf(w, "        p95 over %d sub-windows of ~%d: %.3f ms\n", len(wins95), s.count()/len(wins95), wins95)
@@ -257,7 +310,7 @@ func endToEndRun(w io.Writer, r *rig, seconds time.Duration, setupS float64) res
 		"read_p50_ms":    p50[cRead],
 		"scan_p50_ms":    p50[cScan],
 		"peak_tps":       peakTPS,
-		"cpu_us_per_txn": cpu,
+		"cpu_us_per_txn": cpuUS,
 		"success_frac":   1 - div(float64(res.Failed), float64(res.Attempted)),
 		"heap_live_mb":   float64(ms.HeapAlloc) / (1 << 20),
 	}

@@ -133,6 +133,18 @@ func newRig(sp spec, o rigOptions) (r *rig, err error) {
 			return r, err
 		}
 	}
+	var peakWLs []*workload.Workload
+	if sp.peakMix != nil {
+		pm := *sp.peakMix
+		pm.Seed = o.seed
+		for i := 0; i < nw; i++ {
+			wl, err := workload.New(pm, int64(nw+i))
+			if err != nil {
+				return r, err
+			}
+			peakWLs = append(peakWLs, wl)
+		}
+	}
 	if sp.gateway {
 		return r, r.startGateway(attach, wls)
 	}
@@ -145,6 +157,9 @@ func newRig(sp spec, o rigOptions) (r *rig, err error) {
 		l, err := newDirectLane(w, ids, opts.N, sp.local, c.Directory(), attach, wls[i], check, r.stop, &r.wg)
 		if err != nil {
 			return r, err
+		}
+		if peakWLs != nil {
+			l.peakWL = peakWLs[i]
 		}
 		r.dlanes = append(r.dlanes, l)
 		w.lane = l
